@@ -127,6 +127,30 @@ let dk_design =
                ~structure ()));
   }
 
+(* [Ss.hinf_norm] on a stable discrete system of the size the sweep's
+   hardware-layer closed loops reach (40 states, 15 inputs, 16
+   outputs): the ~240-point frequency-response grid that every gamma
+   step of the H-infinity bisection checks. *)
+let hinf_norm40 =
+  {
+    kernel = "hinf_norm40";
+    size = "40 states, 15 in, 16 out";
+    batch = 1;
+    reps = 20;
+    smoke_reps = 10;
+    prepare =
+      (fun () ->
+        let open Linalg in
+        let a = Mat.random ~seed:40 40 40 in
+        let a = Mat.scale (0.9 /. Eig.spectral_radius a) a in
+        let sys =
+          Control.Ss.make ~domain:(Control.Ss.Discrete 0.5) ~a
+            ~b:(Mat.random ~seed:41 40 15) ~c:(Mat.random ~seed:42 16 40)
+            ~d:(Mat.random ~seed:43 16 15) ()
+        in
+        fun () -> ignore (Control.Ss.hinf_norm sys));
+  }
+
 (* 1000 board epochs (0.5 s each, 10 ms internal ticks = 50k ticks) on a
    workload scaled so it never finishes: the per-domain constant factor
    of every evaluation grid cell. *)
@@ -288,6 +312,7 @@ let all_kernels =
     svd 16 8;
     care 4;
     dk_design;
+    hinf_norm40;
     xu3_epochs;
     controller_step;
     fleet_64boards;

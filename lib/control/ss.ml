@@ -253,18 +253,17 @@ let transform t sys =
     c = Mat.mul sys.c t;
   }
 
+(* The shift z at angular frequency w: jw, or e^{jwT} for period T. *)
+let shift sys w =
+  match sys.domain with
+  | Continuous -> { Complex.re = 0.0; im = w }
+  | Discrete p -> Complex.exp { Complex.re = 0.0; im = w *. p }
+
+let kernel sys = Freqresp.create ~a:sys.a ~b:sys.b ~c:sys.c ~d:sys.d
+
 let freq_response sys w =
-  let n = order sys in
-  if n = 0 then Cmat.of_real sys.d
-  else begin
-    let z =
-      match sys.domain with
-      | Continuous -> { Complex.re = 0.0; im = w }
-      | Discrete p -> Complex.exp { Complex.re = 0.0; im = w *. p }
-    in
-    let x = Cmat.resolvent z (Cmat.of_real sys.a) (Cmat.of_real sys.b) in
-    Cmat.add (Cmat.mul (Cmat.of_real sys.c) x) (Cmat.of_real sys.d)
-  end
+  if order sys = 0 then Cmat.of_real sys.d
+  else Freqresp.response (kernel sys) (shift sys w)
 
 let log_grid lo hi points =
   let llo = log lo and lhi = log hi in
@@ -281,22 +280,9 @@ let hinf_norm ?(points = 200) sys =
       | Discrete p -> Float.pi /. p
     in
     let wmin = wmax /. 1e8 in
-    (* Hoist the real->complex conversions of A, B, C, D (and the
-       identity) out of the ~240 grid evaluations; the per-frequency
-       arithmetic is unchanged from [freq_response]. *)
-    let ca = Cmat.of_real sys.a
-    and cb = Cmat.of_real sys.b
-    and cc = Cmat.of_real sys.c
-    and cd = Cmat.of_real sys.d in
-    let eval w =
-      let z =
-        match sys.domain with
-        | Continuous -> { Complex.re = 0.0; im = w }
-        | Discrete p -> Complex.exp { Complex.re = 0.0; im = w *. p }
-      in
-      let x = Cmat.resolvent z ca cb in
-      Svd.norm2_complex (Cmat.add (Cmat.mul cc x) cd)
-    in
+    (* One kernel, so the ~240 grid evaluations share its scratch. *)
+    let fr = kernel sys in
+    let eval w = Freqresp.norm2 fr (shift sys w) in
     let grid = log_grid wmin wmax points in
     let best_w = ref grid.(0) and best = ref 0.0 in
     Array.iter

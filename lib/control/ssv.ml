@@ -39,19 +39,26 @@ let offsets s =
   in
   (roff, coff)
 
-(* sigma_max(D_l M D_r^-1) for per-block scalar scales d. [dst] lets the
-   coordinate-descent loop reuse one scratch matrix across its ~50 evals;
-   every entry is overwritten (the structure tiles M), so no clearing is
-   needed. *)
-let scaled_norm ?dst s (roff, coff) m d =
+(* sigma_max(D_l M D_r^-1) for per-block scalar scales d. The scaled
+   entries, [Complex.mul {re = f; im = 0.0} m_ij] written out, go
+   straight into [Svd.norm2_planar]'s layout — the copy
+   [Svd.norm2_complex] would make of the scaled matrix — and [scratch]
+   lets the coordinate-descent loop reuse one set of buffers across its
+   ~50 evals; every entry is overwritten (the structure tiles M). *)
+type scratch = { re : float array; im : float array; norms : float array }
+
+let scratch_for m =
+  let r, c = Cmat.dims m in
+  {
+    re = Array.make (r * c) 0.0;
+    im = Array.make (r * c) 0.0;
+    norms = Array.make (min r c) 0.0;
+  }
+
+let scaled_norm scratch s (roff, coff) m d =
   let blocks = Array.of_list s in
   let r, c = Cmat.dims m in
-  let scaled =
-    match dst with
-    | Some x when Cmat.dims x = (r, c) -> x
-    | Some _ -> invalid_arg "Ssv.scaled_norm: dst dimension mismatch"
-    | None -> Cmat.create r c
-  in
+  let rs, cs = if r >= c then (1, r) else (c, 1) in
   Array.iteri
     (fun i bi ->
       Array.iteri
@@ -59,15 +66,17 @@ let scaled_norm ?dst s (roff, coff) m d =
           let f = d.(i) /. d.(j) in
           for p = 0 to rows_of bi - 1 do
             for q = 0 to cols_of bj - 1 do
-              Cmat.set scaled (roff.(i) + p) (coff.(j) + q)
-                (Complex.mul
-                   { Complex.re = f; im = 0.0 }
-                   (Cmat.get m (roff.(i) + p) (coff.(j) + q)))
+              let row = roff.(i) + p and col = coff.(j) + q in
+              let z = Cmat.get m row col in
+              let o = (row * rs) + (col * cs) in
+              scratch.re.(o) <- (f *. z.Complex.re) -. (0.0 *. z.Complex.im);
+              scratch.im.(o) <- (f *. z.Complex.im) +. (0.0 *. z.Complex.re)
             done
           done)
         blocks)
     blocks;
-  Svd.norm2_complex scaled
+  Svd.norm2_planar ~m:(max r c) ~n:(min r c) ~norms:scratch.norms scratch.re
+    scratch.im
 
 let mu_upper s m =
   validate s m;
@@ -106,8 +115,8 @@ let mu_upper s m =
       done
     done;
     (* Coordinate-descent refinement of sigma_max over log d_i. *)
-    let scratch = Cmat.create (fst (Cmat.dims m)) (snd (Cmat.dims m)) in
-    let eval d = scaled_norm ~dst:scratch s off m d in
+    let scratch = scratch_for m in
+    let eval d = scaled_norm scratch s off m d in
     let refine_coordinate i =
       let best = ref (eval d) in
       let base = d.(i) in
@@ -132,7 +141,7 @@ let mu_upper s m =
     (* Normalize so the last scale is 1 (scales are projective). *)
     let dn = d.(nb - 1) in
     let d = Array.map (fun x -> x /. dn) d in
-    { value = scaled_norm ~dst:scratch s off m d; scales = d }
+    { value = scaled_norm scratch s off m d; scales = d }
   end
 
 (* Build the aligning Delta for the current iterate: given z = M w, each

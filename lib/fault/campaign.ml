@@ -65,9 +65,9 @@ let time_to_recover ~schedule ~completed (trace : Yukta.Stack.trace_point array)
 
 let run ?max_time ?epoch ?guardband ?pool ~schemes ~workloads schedule =
   (* One cell per scheme; the clean and faulted runs stay paired inside
-     the cell, so parallel fan-out never splits a comparison. The
-     single-force rule: building every stack once here warms the design
-     memos before any worker starts. *)
+     the cell, so parallel fan-out never splits a comparison. Building
+     every stack once here forces the design memos before any worker
+     starts (DESIGN.md section 9b). *)
   if
     match pool with None -> false | Some p -> Parallel.Pool.jobs p > 1
   then List.iter (fun s -> ignore (Yukta.Schemes.stack s)) schemes;

@@ -110,7 +110,7 @@ let run ?pool cfg =
   let info = Schemes.find_exn cfg.scheme in
   let n = cfg.boards in
   (* Build every board before fan-out: stack construction forces the
-     scheme's memoized designs exactly once (the single-force rule). *)
+     scheme's memoized designs before any worker starts. *)
   let states = Array.init n (make_board cfg info) in
   let rack = Rack.make ~policy:cfg.policy ~boards:n ~cap:cfg.cap () in
   let power = Array.make n 0.0 in

@@ -39,6 +39,16 @@ val norm2_complex : Cmat.t -> float
     in complex arithmetic (planar re/im columns) — no doubled real
     embedding. *)
 
+val norm2_planar :
+  m:int -> n:int -> norms:float array -> float array -> float array -> float
+(** [norm2_planar ~m ~n ~norms re im] is the spectral norm of the complex
+    matrix whose [n] columns of length [m] are stored contiguously in
+    planar form (entry [(i, q)] at index [q * m + i] of [re] and [im]) —
+    the working layout of {!norm2_complex}, which copies into it (with
+    the transpose when a matrix has more columns than rows) and calls
+    this. Both arrays are overwritten; [norms] is scratch of length
+    [>= n]. Lets frequency-response grids reuse one buffer per point. *)
+
 val rank : ?tol:float -> Mat.t -> int
 (** Numerical rank: singular values above [tol * max_sv * max(m,n)]
     (default machine-epsilon based, as in LAPACK). *)

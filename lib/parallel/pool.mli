@@ -21,10 +21,12 @@
       domains and runs everything inline in the calling domain, so
       serial and parallel callers share one code path.
 
-    The pool itself is domain-safe; the tasks must be too. Shared lazy
-    state has to be forced {e before} fan-out (concurrent [Lazy.force]
-    of one suspension raises in OCaml 5) — see [Yukta.Designs.prepare]
-    and the cache notes in [DESIGN.md]. *)
+    The pool itself is domain-safe; the tasks must be too. Shared
+    memoized state needs its own guard — a raw [Lazy.force] of one
+    suspension from two domains raises in OCaml 5; {!Flight} is the
+    single-flight memo the design lookups use — and is best forced
+    {e before} fan-out so workers do not wait on it; see
+    [Yukta.Designs.prepare] and the cache notes in [DESIGN.md]. *)
 
 type t
 (** A pool handle. Values of this type are safe to share between

@@ -9,7 +9,8 @@
    fairness budget, write what the sockets will take, and sweep idle or
    finished connections. All socket errors and handler exceptions are
    contained to their own connection — the loop and the other sessions
-   keep running. *)
+   keep running — except [Out_of_memory] and [Stack_overflow], which no
+   connection can recover from and which propagate. *)
 
 type address = Unix_path of string | Tcp of string * int
 
@@ -38,6 +39,7 @@ type t = {
   idle_timeout : float;
   step_budget : int;
   max_line : int;
+  process : budget:int -> Session.t -> string list;
   mutable conns : conn list;
   mutable next_id : int;
   mutable stopping : bool;
@@ -61,7 +63,7 @@ let sockaddr_of_address = function
 
 let create ?(idle_timeout = default_idle_timeout)
     ?(step_budget = default_step_budget) ?(max_line = default_max_line)
-    address =
+    ?(process = fun ~budget s -> Session.process ~budget s) address =
   if idle_timeout <= 0.0 then
     invalid_arg "Server.create: idle_timeout must be positive";
   if step_budget < 1 then
@@ -88,6 +90,7 @@ let create ?(idle_timeout = default_idle_timeout)
     idle_timeout;
     step_budget;
     max_line;
+    process;
     conns = [];
     next_id = 1;
     stopping = false;
@@ -203,6 +206,24 @@ let write_ready t conn =
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
     | exception Unix.Unix_error _ -> drop t conn
 
+let handler_errors = Obs.Metrics.counter "serve.handler_error"
+
+(* A handler crash costs its own connection only: it is counted,
+   reported as a [serve.handler_error] record, and the connection is
+   dropped. The runtime's fatal conditions are re-raised. *)
+let contain t conn stage f =
+  try f () with
+  | (Out_of_memory | Stack_overflow) as e -> raise e
+  | e ->
+    Obs.Metrics.incr handler_errors;
+    Obs.Collector.debug ~name:"serve.handler_error"
+      [
+        ("session", Obs.Json.Int (Session.id conn.session));
+        ("stage", Obs.Json.String stage);
+        ("exn", Obs.Json.String (Printexc.to_string e));
+      ];
+    drop t conn
+
 let pending_out conn = Buffer.length conn.outbuf - conn.sent > 0
 
 (* One loop iteration; [timeout] bounds the select wait. *)
@@ -222,7 +243,7 @@ let iterate ?(timeout = 0.2) t =
   List.iter
     (fun conn ->
       if List.mem conn.fd readable && not conn.dropping then
-        try read_ready t conn with _ -> drop t conn)
+        contain t conn "read" (fun () -> read_ready t conn))
     t.conns;
   (* Let every session advance under the fairness budget; responses are
      queued for the next writable window. Handler crashes are contained
@@ -230,13 +251,12 @@ let iterate ?(timeout = 0.2) t =
   List.iter
     (fun conn ->
       if not conn.dropping then
-        try
-          let lines = Session.process ~budget:t.step_budget conn.session in
-          if lines <> [] then begin
-            List.iter (queue_line conn) lines;
-            conn.last_activity <- Unix.gettimeofday ()
-          end
-        with _ -> drop t conn)
+        contain t conn "process" (fun () ->
+            let lines = t.process ~budget:t.step_budget conn.session in
+            if lines <> [] then begin
+              List.iter (queue_line conn) lines;
+              conn.last_activity <- Unix.gettimeofday ()
+            end))
     t.conns;
   List.iter
     (fun conn -> if List.mem conn.fd writable then write_ready t conn)

@@ -17,13 +17,26 @@ type address = Unix_path of string | Tcp of string * int
 type t
 
 val create :
-  ?idle_timeout:float -> ?step_budget:int -> ?max_line:int -> address -> t
+  ?idle_timeout:float ->
+  ?step_budget:int ->
+  ?max_line:int ->
+  ?process:(budget:int -> Session.t -> string list) ->
+  address ->
+  t
 (** Bind and listen. [idle_timeout] (default 30 s) sweeps silent
     connections; [step_budget] (default 256) is the per-session epoch
     budget per loop iteration; [max_line] (default 64 KiB) bounds one
     request line — an unframed peer is disconnected with a fatal error
     instead of growing the buffer forever. A pre-existing Unix socket
-    path is unlinked first (and removed again on shutdown).
+    path is unlinked first (and removed again on shutdown). [process]
+    (default {!Session.process}) advances one session per loop
+    iteration — a seam for fault-injection tests.
+
+    An exception escaping a connection's read or [process] drops that
+    connection only: it increments the [serve.handler_error] counter
+    and emits a [serve.handler_error] debug record (session id, stage,
+    exception) when the collector is enabled. [Out_of_memory] and
+    [Stack_overflow] propagate out of {!iterate}.
     @raise Invalid_argument on a non-positive [idle_timeout] or
     [step_budget]; [Unix.Unix_error] when the bind fails. *)
 

@@ -167,9 +167,10 @@ let run ?pool ?(dir = default_dir) ?(shard = whole) p =
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      (* Single-force before fan-out: warm the shared design memos so
-         workers never race a lazy suspension (variant designs are then
-         synthesized under Designs' own lock as they are first met). *)
+      (* Force the default designs before fan-out so no worker waits on
+         another for them. Variant designs are single-flight lookups:
+         distinct points' designs synthesize concurrently, and points
+         sharing a design wait for its one synthesis. *)
       Designs.prepare ();
       let synth_wall = ref 0.0 in
       let evaluated = ref 0 in

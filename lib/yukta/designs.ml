@@ -2,32 +2,39 @@
 
    Training-data collection and mu-synthesis are the expensive, offline
    part of the flow (they happen once per platform in the paper). The
-   default records and designs are computed lazily, shared by every
-   experiment, and additionally cached on disk (content-addressed by the
-   training records and the layer specification) so repeated benchmark
-   runs skip re-synthesis. Set YUKTA_NO_CACHE=1 to disable the disk
-   cache.
+   default records and designs are computed on first use, retained and
+   shared by every experiment, and additionally cached on disk
+   (content-addressed by the training records and the layer
+   specification) so repeated benchmark runs skip re-synthesis. Set
+   YUKTA_NO_CACHE=1 to disable the disk cache.
 
-   Domain safety: the lazy memos and the disk cache are process-global,
-   and OCaml 5 raises if two domains force one suspension concurrently,
-   so every public entry point takes [memo_mutex]. The mutex is not
-   reentrant; internal code below assumes the lock is already held and
-   must never call a public (locking) entry point. Parallel drivers
-   should still force everything once before fan-out ([prepare], or
-   building the stacks they will run) so workers hit warmed memos
-   instead of serializing on the lock. *)
+   Domain safety: every lookup goes through a single-flight table
+   ({!Parallel.Flight}), one per value type. Its lock guards only the
+   in-flight entries: the first domain to miss a key loads or
+   synthesizes it outside the lock, domains asking for the same key
+   meanwhile wait for that value (or exception), and distinct keys
+   synthesize concurrently. A settled variant design is dropped from
+   its table — later lookups go through the disk cache — so a sweep
+   does not pin every design it visits; only the defaults (records,
+   default designs, LQG baselines, rack gain) are retained, under fixed
+   names. Parallel drivers should still force the defaults once before
+   fan-out ([prepare]) so workers find them settled instead of waiting
+   on the first worker to need one. DESIGN.md section 9b states the
+   rule. *)
 
-let memo_mutex = Mutex.create ()
+let records_flight : Training.records Parallel.Flight.t =
+  Parallel.Flight.create ()
 
-let with_memo_lock f =
-  Mutex.lock memo_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock memo_mutex) f
+let designs : Design.synthesis Parallel.Flight.t = Parallel.Flight.create ()
 
-let records = lazy (Training.collect ())
+let controllers : Controller.t Parallel.Flight.t = Parallel.Flight.create ()
 
-(* Lock held from here down. *)
+let gains : float Parallel.Flight.t = Parallel.Flight.create ()
 
-let get_records_unlocked () = Lazy.force records
+(* A retained default, under a fixed name (no key to compute). *)
+let default flight name f = Parallel.Flight.run ~retain:true flight name f
+
+let get_records () = default records_flight "records" Training.collect
 
 (* ------------------------------------------------------------------ *)
 (* Disk cache                                                          *)
@@ -41,6 +48,8 @@ let digest_of_key key = Digest.to_hex (Digest.string key)
 
 let cache_path key = Filename.concat cache_dir (digest_of_key key ^ ".bin")
 
+(* A truncated or foreign blob is a miss (the key is recomputed and
+   rewritten); anything else — out of memory, say — propagates. *)
 let cache_load : type a. string -> a option =
  fun key ->
   if not (cache_enabled ()) then None
@@ -48,13 +57,12 @@ let cache_load : type a. string -> a option =
     let path = cache_path key in
     if Sys.file_exists path then begin
       let ic = open_in_bin path in
-      let v =
-        match Marshal.from_channel ic with
-        | v -> Some (v : a)
-        | exception _ -> None
-      in
-      close_in ic;
-      v
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          match Marshal.from_channel ic with
+          | v -> Some (v : a)
+          | exception (End_of_file | Failure _) -> None)
     end
     else None
   end
@@ -63,10 +71,11 @@ let cache_load : type a. string -> a option =
    the digest holds — the cache keys themselves embed marshalled
    fingerprints, so the sidecar is what `yukta_cli cache` lists.
 
-   Writes are write-to-temp + rename: the memo mutex serializes domains
-   within one process, but nothing serializes *processes* (two sweep
-   shards cache-missing the same design concurrently), and a reader
-   must never observe a half-written blob. A unique temp name per
+   Writes are write-to-temp + rename: single-flight lookups keep two
+   domains of one process from writing the same key, but nothing
+   serializes *processes* (two sweep shards cache-missing the same
+   design concurrently), and a reader must never observe a half-written
+   blob. A unique temp name per
    process in the same directory plus [Sys.rename] (atomic on POSIX)
    makes the visible file always complete; colliding renames of the
    same key are idempotent because both writers marshal the same value.
@@ -138,61 +147,57 @@ let records_fingerprint r =
       (if Array.length r.Training.sw_y > 0 then r.Training.sw_y.(7) else [||]) )
     []
 
-let design_key kind spec =
+let design_key kind spec records =
   Printf.sprintf "design-v%d-%s-%s-%s" schema_version kind
-    (spec_fingerprint spec)
-    (records_fingerprint (get_records_unlocked ()))
+    (spec_fingerprint spec) (records_fingerprint records)
 
-let cached_design kind spec compute =
-  let key = design_key kind spec in
-  match cache_load key with
-  | Some (d : Design.synthesis) -> d
-  | None ->
-    let d = compute () in
-    cache_store ~label:(Printf.sprintf "ssv %s design (%s)" kind spec.Design.layer)
-      key d;
-    d
+(* The single-flight path every lookup takes: a disk-cache load, or the
+   computation and a store, run once per key by the first domain to
+   miss it. *)
+let cached flight ~label key compute =
+  Parallel.Flight.run flight key (fun () ->
+      match cache_load key with
+      | Some v -> v
+      | None ->
+        let v = compute () in
+        cache_store ~label key v;
+        v)
 
-let design_hw_unlocked spec =
-  cached_design "hw" spec (fun () ->
-      let r = get_records_unlocked () in
-      Design.design spec ~u:r.Training.hw_u ~y:r.Training.hw_y)
-
-let design_sw_unlocked spec =
-  cached_design "sw" spec (fun () ->
-      let r = get_records_unlocked () in
-      Design.design spec ~u:r.Training.sw_u ~y:r.Training.sw_y)
-
-let hw_default = lazy (design_hw_unlocked (Hw_layer.spec ()))
-
-let sw_default = lazy (design_sw_unlocked (Sw_layer.spec ()))
-
-let cached_controller kind compute =
-  let key =
-    Printf.sprintf "lqg-v%d-%s-%s" schema_version kind
-      (records_fingerprint (get_records_unlocked ()))
+let design_with kind spec =
+  let r = get_records () in
+  let u, y =
+    match kind with
+    | `Hw -> (r.Training.hw_u, r.Training.hw_y)
+    | `Sw -> (r.Training.sw_u, r.Training.sw_y)
   in
-  match cache_load key with
-  | Some (c : Controller.t) -> c
-  | None ->
-    let c = compute () in
-    cache_store ~label:(Printf.sprintf "lqg %s controller" kind) key c;
-    c
+  let kind = match kind with `Hw -> "hw" | `Sw -> "sw" in
+  cached designs
+    ~label:(Printf.sprintf "ssv %s design (%s)" kind spec.Design.layer)
+    (design_key kind spec r)
+    (fun () -> Design.design spec ~u ~y)
 
-let lqg_hw_default =
-  lazy
-    (cached_controller "hw" (fun () ->
-         Lqg_layer.hw_controller (get_records_unlocked ())))
+let design_hw_with spec = design_with `Hw spec
 
-let lqg_sw_default =
-  lazy
-    (cached_controller "sw" (fun () ->
-         Lqg_layer.sw_controller (get_records_unlocked ())))
+let design_sw_with spec = design_with `Sw spec
 
-let lqg_mono_default =
-  lazy
-    (cached_controller "mono" (fun () ->
-         Lqg_layer.monolithic_controller (get_records_unlocked ())))
+let hw () = default designs "hw" (fun () -> design_hw_with (Hw_layer.spec ()))
+
+let sw () = default designs "sw" (fun () -> design_sw_with (Sw_layer.spec ()))
+
+let lqg kind compute () =
+  default controllers kind (fun () ->
+      let r = get_records () in
+      cached controllers
+        ~label:(Printf.sprintf "lqg %s controller" kind)
+        (Printf.sprintf "lqg-v%d-%s-%s" schema_version kind
+           (records_fingerprint r))
+        (fun () -> compute r))
+
+let lqg_hw = lqg "hw" Lqg_layer.hw_controller
+
+let lqg_sw = lqg "sw" Lqg_layer.sw_controller
+
+let lqg_monolithic = lqg "mono" Lqg_layer.monolithic_controller
 
 (* The rack layer's feedback design: the budget-tracking loop is a
    scalar integrator plant (total fleet power responds within one rack
@@ -203,50 +208,21 @@ let rack_q = 1.0
 
 let rack_r = 4.0
 
-let rack_gain_unlocked () =
-  let key =
-    Printf.sprintf "rack-v%d-q%.17g-r%.17g" schema_version rack_q rack_r
-  in
-  match cache_load key with
-  | Some (g : float) -> g
-  | None ->
-    let m x = Linalg.Mat.of_lists [ [ x ] ] in
-    let a = m 1.0 and b = m 1.0 in
-    let x = Control.Dare.solve ~a ~b ~q:(m rack_q) ~r:(m rack_r) in
-    let g = Linalg.Mat.get (Control.Dare.gain ~a ~b ~r:(m rack_r) x) 0 0 in
-    cache_store ~label:"rack feedback gain" key g;
-    g
-
-let rack_default = lazy (rack_gain_unlocked ())
-
-(* ------------------------------------------------------------------ *)
-(* Public (locking) entry points                                       *)
-(* ------------------------------------------------------------------ *)
-
-let get_records () = with_memo_lock get_records_unlocked
-
-let design_hw_with spec = with_memo_lock (fun () -> design_hw_unlocked spec)
-
-let design_sw_with spec = with_memo_lock (fun () -> design_sw_unlocked spec)
-
-let hw () = with_memo_lock (fun () -> Lazy.force hw_default)
-
-let sw () = with_memo_lock (fun () -> Lazy.force sw_default)
-
-let lqg_hw () = with_memo_lock (fun () -> Lazy.force lqg_hw_default)
-
-let lqg_sw () = with_memo_lock (fun () -> Lazy.force lqg_sw_default)
-
-let lqg_monolithic () = with_memo_lock (fun () -> Lazy.force lqg_mono_default)
-
-let rack_gain () = with_memo_lock (fun () -> Lazy.force rack_default)
+let rack_gain () =
+  default gains "rack" (fun () ->
+      cached gains ~label:"rack feedback gain"
+        (Printf.sprintf "rack-v%d-q%.17g-r%.17g" schema_version rack_q rack_r)
+        (fun () ->
+          let m x = Linalg.Mat.of_lists [ [ x ] ] in
+          let a = m 1.0 and b = m 1.0 in
+          let x = Control.Dare.solve ~a ~b ~q:(m rack_q) ~r:(m rack_r) in
+          Linalg.Mat.get (Control.Dare.gain ~a ~b ~r:(m rack_r) x) 0 0))
 
 let prepare () =
-  with_memo_lock (fun () ->
-      ignore (get_records_unlocked ());
-      ignore (Lazy.force hw_default);
-      ignore (Lazy.force sw_default);
-      ignore (Lazy.force lqg_hw_default);
-      ignore (Lazy.force lqg_sw_default);
-      ignore (Lazy.force lqg_mono_default);
-      ignore (Lazy.force rack_default))
+  ignore (get_records ());
+  ignore (hw ());
+  ignore (sw ());
+  ignore (lqg_hw ());
+  ignore (lqg_sw ());
+  ignore (lqg_monolithic ());
+  ignore (rack_gain ())

@@ -1,19 +1,24 @@
 (** Memoized controller designs.
 
     Training and mu-synthesis are the expensive offline part of the flow
-    (once per platform in the paper). Defaults are lazy and shared;
-    everything is also cached on disk under [.yukta_cache/],
-    content-addressed by the training records and layer specification.
-    Set the environment variable [YUKTA_NO_CACHE] to disable the disk
-    cache (e.g. when editing the design pipeline itself).
+    (once per platform in the paper). Defaults are computed on first use
+    and retained; everything is also cached on disk under
+    [.yukta_cache/], content-addressed by the training records and layer
+    specification. Set the environment variable [YUKTA_NO_CACHE] to
+    disable the disk cache (e.g. when editing the design pipeline
+    itself).
 
-    All entry points are serialized by an internal mutex, so concurrent
-    first use from several domains is safe (unsynchronized concurrent
-    [Lazy.force] would raise in OCaml 5, and two domains could race a
-    cache file). Parallel drivers should still call {!prepare} — or
-    build the stacks they are about to run — {e once, before fan-out},
-    so the expensive synthesis happens exactly once instead of workers
-    queuing on the lock; see the concurrency notes in [DESIGN.md]. *)
+    Lookups are single-flight ({!Parallel.Flight}) and safe from any
+    domain: the first domain to miss a key loads or synthesizes it with
+    no lock held, domains asking for the same key meanwhile wait for
+    that value (or exception), and distinct keys — two sweep points'
+    variant designs — synthesize concurrently. Settled variants are not
+    retained in memory (a later lookup reloads them from the disk
+    cache); a failed lookup is retried by the next one. Parallel drivers
+    should still call {!prepare} — or build the stacks they are about to
+    run — {e once, before fan-out}, so workers find the defaults settled
+    instead of waiting on whichever worker needed one first; see the
+    concurrency notes in [DESIGN.md]. *)
 
 val cache_dir : string
 (** The on-disk cache directory, [.yukta_cache]. Every entry is a
@@ -50,5 +55,5 @@ val rack_gain : unit -> float
 
 val prepare : unit -> unit
 (** Force every default memo (records, both SSV designs, all three LQG
-    baselines) under the lock — the single-force-before-fan-out step of
-    parallel drivers. Idempotent; later calls are cheap. *)
+    baselines, the rack gain) — the force-before-fan-out step of parallel
+    drivers. Idempotent; later calls are cheap. *)

@@ -54,8 +54,8 @@ val run_suite :
   normalized_row list
 (** Run every scheme on every entry; normalize to the first scheme.
     With [pool], the [(scheme, app)] cells run on the pool's domains
-    (after a single-force warm-up of every scheme's designs in the
-    calling domain) and rows reassemble in entry order — the output is
+    (after a warm-up that forces every scheme's designs in the calling
+    domain) and rows reassemble in entry order — the output is
     byte-identical to the serial run's. *)
 
 val averages :

@@ -1,6 +1,7 @@
 (* Tests for the serving subsystem: the transport-free session state
    machine (purity, backpressure, budget split, drain, crash isolation)
-   and the select-loop server (disconnect isolation, idle sweep). *)
+   and the select-loop server (disconnect isolation, idle sweep,
+   handler-crash containment). *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -259,9 +260,10 @@ let read_lines srv fd ~want =
   done;
   List.rev !lines
 
-let with_server ?idle_timeout f =
+let with_server ?idle_timeout ?process f =
   let srv =
-    Serve.Server.create ?idle_timeout ~step_budget:64 (Serve.Server.Tcp ("", 0))
+    Serve.Server.create ?idle_timeout ?process ~step_budget:64
+      (Serve.Server.Tcp ("", 0))
   in
   Fun.protect
     ~finally:(fun () ->
@@ -316,6 +318,41 @@ let test_server_disconnect_isolation () =
       | _ -> Alcotest.fail "expected closed");
       Unix.close b)
 
+(* A handler that raises costs its own connection only: the crash is
+   counted under [serve.handler_error], the connection is dropped, and
+   a concurrent session keeps streaming contiguous frames. Sessions are
+   numbered in accept order from 1, so [a], greeted first, is session 1. *)
+let test_server_handler_error () =
+  let victim = ref 0 in
+  let process ~budget s =
+    if Serve.Session.id s = !victim then failwith "injected handler fault";
+    Serve.Session.process ~budget s
+  in
+  let errors = Obs.Metrics.counter "serve.handler_error" in
+  let before = Obs.Metrics.count errors in
+  with_server ~process (fun srv ->
+      let a = connect srv in
+      greet srv a;
+      let b = connect srv in
+      greet srv b;
+      configure srv b;
+      send_line srv b {|{"type":"step","count":3}|};
+      let first = read_lines srv b ~want:3 in
+      victim := 1;
+      (match read_lines srv a ~want:1 with
+      | exception Disconnected -> ()
+      | _ -> Alcotest.fail "the crashed connection should be closed");
+      check_int "one handler error" (before + 1) (Obs.Metrics.count errors);
+      let _, active, _, _, _ = Serve.Server.stats srv in
+      check_int "survivor still active" 1 active;
+      send_line srv b {|{"type":"step","count":3}|};
+      let after = read_lines srv b ~want:3 in
+      List.iteri
+        (fun i l -> check_int "contiguous epochs" (i + 1) (jint "epoch" l))
+        (first @ after);
+      Unix.close a;
+      Unix.close b)
+
 let test_server_idle_sweep () =
   with_server ~idle_timeout:0.05 (fun srv ->
       let fd = connect srv in
@@ -356,5 +393,7 @@ let () =
           Alcotest.test_case "disconnect isolation" `Quick
             test_server_disconnect_isolation;
           Alcotest.test_case "idle sweep" `Quick test_server_idle_sweep;
+          Alcotest.test_case "handler error contained" `Quick
+            test_server_handler_error;
         ] );
     ]
